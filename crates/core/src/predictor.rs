@@ -77,7 +77,8 @@ fn append_pairs(data: &mut Dataset, snapshot: &ProbeReading, stable: &BwMatrix, 
                 continue;
             }
             let fv = FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j));
-            data.push(fv.to_row(), stable.get(i, j)).expect("feature arity is fixed");
+            data.push(fv.to_row(), stable.get(i, j))
+                .expect("simulated probes yield finite features and targets");
         }
     }
 }
@@ -133,18 +134,28 @@ impl WanPredictionModel {
         if snapshot.bw.len() != n {
             return Err(WanifyError::DimensionMismatch { expected: n, got: snapshot.bw.len() });
         }
+        // Every off-diagonal pair's row goes into one flat buffer, in the
+        // row-major order `from_fn` visits the pairs, and through the
+        // forest as one batch.
+        let mut rows = Vec::with_capacity(n * n.saturating_sub(1) * FEATURE_COUNT);
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                rows.extend(FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j)).to_row());
+            }
+        }
+        let mut preds = self.forest.predict_batch(rows.chunks_exact(FEATURE_COUNT)).into_iter();
         Ok(BwMatrix::from_fn(n, |i, j| {
             if i == j {
                 0.0
             } else {
-                self.predict_pair(&FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j)))
+                preds.next().expect("one prediction per directed pair").max(0.0)
             }
         }))
     }
 
     /// Percentage training accuracy over `data` (paper §5.1: 98.51%).
     pub fn training_accuracy(&self, data: &Dataset) -> f64 {
-        let preds: Vec<f64> = data.iter().map(|(x, _)| self.forest.predict(x)).collect();
+        let preds = self.forest.predict_batch(data.iter().map(|(x, _)| x));
         metrics::accuracy_pct(&preds, data.targets())
     }
 
@@ -261,6 +272,27 @@ mod tests {
         let actual = BwMatrix::from_fn(3, |i, j| if i == j { 0.0 } else { 520.0 });
         model.record_error(&predicted, &actual);
         assert!(!model.needs_retraining());
+    }
+
+    #[test]
+    fn predict_matrix_matches_per_pair_predictions_bit_for_bit() {
+        let (model, _) = trained(10, &[8]);
+        let topo = paper_testbed_n(VmType::t3_nano(), 8);
+        let mut sim = NetSim::new(topo, LinkModelParams::default(), 5);
+        sim.shuffle_time();
+        let snapshot = sim.snapshot(&ConnMatrix::filled(8, 1));
+        let batched = model.predict_matrix(&snapshot, sim.topology()).unwrap();
+        for i in 0..8 {
+            for j in 0..8 {
+                let expected = if i == j {
+                    0.0
+                } else {
+                    let fv = FeatureVector::from_probe(&snapshot, sim.topology(), DcId(i), DcId(j));
+                    model.predict_pair(&fv)
+                };
+                assert_eq!(batched.get(i, j).to_bits(), expected.to_bits(), "pair ({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -153,8 +153,6 @@ pub struct Gateway {
     /// cannot see link sharing or transport overheads, so the gateway
     /// learns a correction factor from every completion.
     calibration: f64,
-    /// Outcomes already folded into dispositions.
-    recorded: usize,
     breaker: Option<BreakerHandle>,
 }
 
@@ -192,7 +190,6 @@ impl Gateway {
             owner: HashMap::new(),
             raw_est: HashMap::new(),
             calibration: 1.0,
-            recorded: 0,
             breaker: None,
         }
     }
@@ -372,13 +369,12 @@ impl Gateway {
         }
     }
 
-    /// Folds newly completed outcomes into dispositions and the
-    /// deadline-miss counter.
+    /// Folds new completions into dispositions and the deadline-miss
+    /// counter. Reads the run's completion log, not its retained
+    /// outcomes, so a capped fleet still settles every request.
     fn absorb_completions(&mut self) {
-        while self.recorded < self.run.outcomes().len() {
-            let o = self.run.outcomes()[self.recorded].clone();
-            self.recorded += 1;
-            let req = self.owner[&o.job_idx];
+        for o in self.run.drain_completions() {
+            let req = self.owner.remove(&o.job_idx).expect("every completion was submitted here");
             let met = self.reqs[req].1.is_none_or(|d| o.completed_s <= d + 1e-9);
             if !met {
                 self.counters.deadline_misses += 1;

@@ -1,7 +1,8 @@
 //! End-to-end gateway behaviour over a real fleet engine: shedding under
 //! sustained overload, reject-vs-block overflow policies, tenant-quota
-//! isolation, breaker-backed serving through a gauge outage, and bit
-//! determinism of the whole front-end.
+//! isolation, breaker-backed serving through a gauge outage, bit
+//! determinism of the whole front-end, and settling every request over a
+//! fleet that caps its retained outcomes.
 
 use wanify::Pregauged;
 use wanify_gateway::{
@@ -10,6 +11,7 @@ use wanify_gateway::{
 };
 use wanify_gda::{DataLayout, FleetConfig, FleetEngine, JobProfile, StageProfile, Tetrium};
 use wanify_netsim::{paper_testbed_n, BwMatrix, LinkModelParams, NetSim, VmType};
+use wanify_workloads::{offered_load_iter, LoadSpec};
 
 fn sim(n: usize, seed: u64) -> NetSim {
     NetSim::new(paper_testbed_n(VmType::t2_medium(), n), LinkModelParams::frozen(), seed)
@@ -197,4 +199,37 @@ fn gateway_runs_are_bit_deterministic() {
     assert_eq!(a.fleet.serving, b.fleet.serving);
     assert_eq!(a.latency.p99.to_bits(), b.latency.p99.to_bits());
     assert_eq!(a.fleet.duration_s.to_bits(), b.fleet.duration_s.to_bits());
+}
+
+/// A finite `retain_outcomes` cap drops individual outcomes, but the
+/// gateway must still settle every request, so `finish` finds a verdict
+/// for each, exactly as over an uncapped fleet.
+#[test]
+fn capped_fleet_outcomes_still_settle_every_request() {
+    let serve = |retain_outcomes| {
+        let mut gw = Gateway::new(
+            FleetEngine::new(
+                NetSim::new(paper_testbed_n(VmType::t2_medium(), 8), LinkModelParams::frozen(), 1),
+                Box::new(Tetrium::new()),
+                Box::new(Pregauged::new(BwMatrix::filled(8, 300.0))),
+                FleetConfig { max_concurrent: 4, retain_outcomes, ..FleetConfig::default() },
+            ),
+            GatewayConfig::default(),
+        );
+        for o in offered_load_iter(&LoadSpec::new(8, 2000, 1, 0.5).scaled(0.5)) {
+            gw.advance_to(o.arrival_s).unwrap();
+            gw.offer(GatewayRequest { job: o.job, arrival_s: o.arrival_s, deadline_s: None });
+        }
+        gw.drain().unwrap();
+        gw.finish()
+    };
+    let capped = serve(256);
+    let full = serve(usize::MAX);
+    assert!(capped.fleet.sketched());
+    assert_eq!(capped.fleet.outcomes.len(), 256);
+    assert!(capped.served() > 256, "the cap must actually drop outcomes");
+    assert_eq!(capped.served(), capped.fleet.completed());
+    assert_eq!(capped.dispositions, full.dispositions);
+    assert_eq!(capped.fleet.serving, full.fleet.serving);
+    assert_eq!(capped.latency.p99.to_bits(), full.latency.p99.to_bits());
 }

@@ -790,6 +790,9 @@ pub struct FleetRun {
     /// Retained outcomes in completion order — the full run below the
     /// [`FleetConfig::retain_outcomes`] cap, a prefix above it.
     outcomes: Vec<JobOutcome>,
+    /// Outcomes not yet drained by the front-end, kept whatever the
+    /// retention cap; `Some` only for serving runs.
+    completion_log: Option<Vec<JobOutcome>>,
     first_arrival_s: f64,
     /// Closed-loop bookkeeping: the index of the next unsubmitted job.
     next_closed_job: usize,
@@ -850,6 +853,7 @@ impl FleetRun {
             counters: FaultCounters::default(),
             running: 0,
             outcomes: Vec::with_capacity(retained),
+            completion_log: None,
             first_arrival_s: f64::INFINITY,
             next_closed_job: 0,
             closed_think_s: 0.0,
@@ -1024,8 +1028,18 @@ impl FleetRun {
     /// decided to admit.
     pub fn start_serving(fleet: FleetEngine) -> Self {
         let mut run = Self::fresh(fleet, Vec::new());
+        run.completion_log = Some(Vec::new());
         run.arm_agent();
         run
+    }
+
+    /// Takes the outcome of every job completed since the last call, in
+    /// completion order — including those the
+    /// [`FleetConfig::retain_outcomes`] cap keeps out of
+    /// [`FleetRun::outcomes`]. Only [`FleetRun::start_serving`] runs log
+    /// completions; any other run yields none.
+    pub fn drain_completions(&mut self) -> impl Iterator<Item = JobOutcome> + '_ {
+        self.completion_log.iter_mut().flat_map(|log| log.drain(..))
     }
 
     /// Submits one job arriving *now* (an arrival timer at the current
@@ -1533,6 +1547,9 @@ impl FleetRun {
     fn record_outcome(&mut self, outcome: JobOutcome) {
         self.completed += 1;
         self.totals.absorb(&outcome);
+        if let Some(log) = &mut self.completion_log {
+            log.push(outcome.clone());
+        }
         if self.outcomes.len() < self.fleet.config.retain_outcomes {
             self.outcomes.push(outcome);
             self.note_tracked();

@@ -13,6 +13,12 @@ pub enum DatasetError {
         /// Number of features in the offending row.
         got: usize,
     },
+    /// A feature or the target was NaN or infinite; CART splits need
+    /// totally ordered features and leaf means need finite targets.
+    NonFinite {
+        /// Index of the offending feature, or `None` for the target.
+        feature: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for DatasetError {
@@ -21,6 +27,8 @@ impl std::fmt::Display for DatasetError {
             DatasetError::WrongArity { expected, got } => {
                 write!(f, "row has {got} features but the dataset expects {expected}")
             }
+            DatasetError::NonFinite { feature: Some(i) } => write!(f, "feature {i} is not finite"),
+            DatasetError::NonFinite { feature: None } => write!(f, "target is not finite"),
         }
     }
 }
@@ -46,13 +54,20 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`DatasetError::WrongArity`] if `features.len()` differs from
-    /// the dataset's width.
+    /// the dataset's width, and [`DatasetError::NonFinite`] if a feature
+    /// or the target is NaN or infinite. A rejected row is not added.
     pub fn push(&mut self, features: Vec<f64>, target: f64) -> Result<(), DatasetError> {
         if features.len() != self.n_features {
             return Err(DatasetError::WrongArity {
                 expected: self.n_features,
                 got: features.len(),
             });
+        }
+        if let Some(i) = features.iter().position(|x| !x.is_finite()) {
+            return Err(DatasetError::NonFinite { feature: Some(i) });
+        }
+        if !target.is_finite() {
+            return Err(DatasetError::NonFinite { feature: None });
         }
         self.xs.push(features);
         self.ys.push(target);
@@ -175,6 +190,29 @@ mod tests {
         let mut d = Dataset::new(3);
         let err = d.push(vec![1.0], 0.0).unwrap_err();
         assert_eq!(err, DatasetError::WrongArity { expected: 3, got: 1 });
+        assert!(d.is_empty());
+    }
+
+    #[test]
+    fn push_rejects_non_finite_features() {
+        let mut d = Dataset::new(3);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = d.push(vec![1.0, 2.0, bad], 0.0).unwrap_err();
+            assert_eq!(err, DatasetError::NonFinite { feature: Some(2) });
+        }
+        assert!(d.is_empty());
+        d.push(vec![-0.0, f64::MAX, f64::MIN_POSITIVE], 1.0).unwrap();
+        assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn push_rejects_non_finite_targets() {
+        let mut d = Dataset::new(2);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = d.push(vec![1.0, 2.0], bad).unwrap_err();
+            assert_eq!(err, DatasetError::NonFinite { feature: None });
+            assert_eq!(err.to_string(), "target is not finite");
+        }
         assert!(d.is_empty());
     }
 

@@ -1,10 +1,16 @@
 //! Random Forest regression: bagging + feature subsampling + warm start.
 //!
-//! Fit and batch prediction are parallelized with `rayon`: bagging is
-//! embarrassingly parallel, and determinism is preserved by deriving one
-//! RNG seed per tree from the forest seed *before* fanning out, so the
-//! ensemble is bit-identical at any thread count (see
+//! Fitting is parallelized with `rayon`: bagging is embarrassingly
+//! parallel, and determinism is preserved by deriving one RNG seed per
+//! tree from the forest seed *before* fanning out, so the ensemble is
+//! bit-identical at any thread count (see
 //! `deterministic_across_thread_counts`).
+//!
+//! Batch prediction is sequential and tree-major: each tree walks the
+//! whole batch in lockstep before the next tree starts, so a tree's nodes
+//! stay in cache across rows and the rows' node loads overlap. Every row
+//! still sums its trees in ensemble order, so a batch result is
+//! bit-identical to [`RandomForest::predict`] on that row.
 
 use crate::dataset::Dataset;
 use crate::tree::{RegressionTree, TreeParams};
@@ -141,12 +147,26 @@ impl RandomForest {
         sum / self.trees.len() as f64
     }
 
-    /// Predictions for a batch of rows, computed in parallel across rows
-    /// (each row's ensemble mean stays a sequential, order-stable sum, so
-    /// results are bit-identical at any thread count).
+    /// Predictions for a batch of rows, bit-identical to calling
+    /// [`RandomForest::predict`] on each row, computed tree-major (see the
+    /// module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any row's length differs from the training feature count.
     pub fn predict_batch<'a>(&self, rows: impl IntoIterator<Item = &'a [f64]>) -> Vec<f64> {
         let rows: Vec<&[f64]> = rows.into_iter().collect();
-        rows.into_par_iter().map(|r| self.predict(r)).collect()
+        for row in &rows {
+            assert_eq!(row.len(), self.n_features, "feature arity mismatch");
+        }
+        // -0.0 is the identity `Iterator::<f64>::sum` starts from, so an
+        // all-negative-zero row sums exactly as `predict` does.
+        let mut sums = vec![-0.0; rows.len()];
+        for tree in &self.trees {
+            tree.walk_lockstep(&rows, |k, value| sums[k] += value);
+        }
+        let n = self.trees.len() as f64;
+        sums.into_iter().map(|sum| sum / n).collect()
     }
 
     /// Number of trees currently in the ensemble.
@@ -157,18 +177,28 @@ impl RandomForest {
     /// Out-of-bag mean absolute error against `data` (the training set the
     /// forest was fitted on). Returns `None` when bootstrap was disabled or
     /// no row was ever out-of-bag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data`'s width differs from the training feature count.
     pub fn oob_mae(&self, data: &Dataset) -> Option<f64> {
+        assert_eq!(data.n_features(), self.n_features, "feature arity mismatch");
+        // Tree-major: each tree walks its own out-of-bag rows, and every
+        // row still sums its trees in ensemble order.
+        let mut sums = vec![0.0; data.len()];
+        let mut counts = vec![0usize; data.len()];
+        for (tree, oob) in self.trees.iter().zip(&self.oob_rows) {
+            // Out-of-bag sets are sorted; rows past `data` are skipped.
+            let oob = &oob[..oob.partition_point(|&i| i < data.len())];
+            let rows: Vec<&[f64]> = oob.iter().map(|&i| data.row(i)).collect();
+            tree.walk_lockstep(&rows, |k, value| {
+                sums[oob[k]] += value;
+                counts[oob[k]] += 1;
+            });
+        }
         let mut total = 0.0;
         let mut count = 0usize;
-        for i in 0..data.len() {
-            let mut sum = 0.0;
-            let mut trees = 0usize;
-            for (t, oob) in self.trees.iter().zip(&self.oob_rows) {
-                if oob.binary_search(&i).is_ok() {
-                    sum += t.predict(data.row(i));
-                    trees += 1;
-                }
-            }
+        for (i, (&sum, &trees)) in sums.iter().zip(&counts).enumerate() {
             if trees > 0 {
                 total += (sum / trees as f64 - data.target(i)).abs();
                 count += 1;
@@ -376,6 +406,111 @@ mod tests {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             let batch_multi = pool.install(|| multi.predict_batch(probes.iter().map(|(r, _)| r)));
             assert_eq!(batch_single, batch_multi);
+        }
+    }
+
+    /// The tree-major OOB pass reproduces the row-major definition (each
+    /// row's OOB trees summed in ensemble order) bit for bit, including
+    /// after a warm start on a larger dataset.
+    #[test]
+    fn oob_mae_matches_row_major_reference() {
+        let reference = |forest: &RandomForest, data: &Dataset| {
+            let mut total = 0.0;
+            let mut count = 0usize;
+            for i in 0..data.len() {
+                let mut sum = 0.0;
+                let mut trees = 0usize;
+                for (t, oob) in forest.trees.iter().zip(&forest.oob_rows) {
+                    if oob.binary_search(&i).is_ok() {
+                        sum += t.predict(data.row(i));
+                        trees += 1;
+                    }
+                }
+                if trees > 0 {
+                    total += (sum / trees as f64 - data.target(i)).abs();
+                    count += 1;
+                }
+            }
+            (count > 0).then(|| total / count as f64)
+        };
+        let small = friedman_like(120, 16);
+        let mut large = small.clone();
+        large.extend_from(&friedman_like(80, 17)).unwrap();
+        let mut forest = RandomForest::fit(
+            &small,
+            &ForestParams { n_estimators: 12, ..ForestParams::default() },
+            18,
+        );
+        forest.warm_start(&large, 6);
+        for data in [&small, &large] {
+            let got = forest.oob_mae(data).unwrap();
+            assert_eq!(got.to_bits(), reference(&forest, data).unwrap().to_bits());
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A feature value: usually uniform, sometimes a signed zero.
+        fn feature(rng: &mut StdRng) -> f64 {
+            match rng.gen_range(0..8) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            }
+        }
+
+        /// A probe value: a feature, or NaN / ±∞ now and then.
+        fn probe(rng: &mut StdRng) -> f64 {
+            match rng.gen_range(0..10) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                _ => feature(rng),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn predict_batch_is_bit_identical_to_predict(
+                seed in 0u64..u64::MAX,
+                rows in 1usize..60,
+                width in 1usize..5,
+                trees in 1usize..10,
+                depth in 0usize..8,
+                batch in 2usize..40,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                // One case in four trains on all -0.0 targets.
+                let neg_zero = rng.gen_range(0..4) == 0;
+                let mut data = Dataset::new(width);
+                for _ in 0..rows {
+                    let x: Vec<f64> = (0..width).map(|_| feature(&mut rng)).collect();
+                    let y = if neg_zero { -0.0 } else { rng.gen_range(-100.0..100.0) };
+                    data.push(x, y).unwrap();
+                }
+                let params = ForestParams {
+                    n_estimators: trees,
+                    tree: TreeParams { max_depth: depth, ..TreeParams::default() },
+                    bootstrap: rng.gen_bool(0.5),
+                    ..ForestParams::default()
+                };
+                let forest = RandomForest::fit(&data, &params, seed);
+                let probes: Vec<Vec<f64>> = (0..batch)
+                    .map(|_| (0..width).map(|_| probe(&mut rng)).collect())
+                    .collect();
+
+                prop_assert!(forest.predict_batch(std::iter::empty()).is_empty());
+                let single = forest.predict_batch([probes[0].as_slice()]);
+                prop_assert_eq!(single.len(), 1);
+                prop_assert_eq!(single[0].to_bits(), forest.predict(&probes[0]).to_bits());
+                let many = forest.predict_batch(probes.iter().map(Vec::as_slice));
+                prop_assert_eq!(many.len(), batch);
+                for (row, p) in probes.iter().zip(&many) {
+                    prop_assert_eq!(p.to_bits(), forest.predict(row).to_bits(), "row {:?}", row);
+                }
+            }
         }
     }
 

@@ -23,10 +23,42 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf { value: f64 },
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
+/// [`Node::feature`] of a leaf.
+const LEAF: u32 = u32::MAX;
+
+/// One tree node, packed to 16 bytes and stored in pre-order: a split's
+/// left child is always the node right after it, so only the right
+/// child's index is kept.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Node {
+    /// Split threshold; a leaf's predicted value.
+    threshold: f64,
+    /// Split feature, or [`LEAF`].
+    feature: u32,
+    /// Index of the right child (unused in a leaf).
+    right: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    fn leaf(value: f64) -> Self {
+        Self { threshold: value, feature: LEAF, right: 0 }
+    }
+
+    /// The node a `row` reaching node `at` moves to, or `None` at a leaf.
+    /// The child is picked arithmetically, not by a branch: which way a
+    /// row goes is data-dependent, so a branch would mispredict often.
+    /// NaN compares false and goes right.
+    #[inline]
+    fn next(&self, at: usize, row: &[f64]) -> Option<usize> {
+        if self.feature == LEAF {
+            return None;
+        }
+        let left = at + 1;
+        let go_right = 1 - usize::from(row[self.feature as usize] <= self.threshold);
+        Some(left + go_right * (self.right as usize - left))
+    }
 }
 
 /// A fitted CART regression tree.
@@ -65,13 +97,33 @@ impl RegressionTree {
     pub fn predict(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.n_features, "feature arity mismatch");
         let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { value } => return *value,
-                Node::Split { feature, threshold, left, right } => {
-                    at = if row[*feature] <= *threshold { *left } else { *right };
+        while let Some(next) = self.nodes[at].next(at, row) {
+            at = next;
+        }
+        self.nodes[at].threshold
+    }
+
+    /// Walks every row of `rows` to its leaf in lockstep — one step per
+    /// unfinished row per pass, so the rows' independent node loads
+    /// overlap — and calls `leaf(k, value)` once per row `k`, in the
+    /// order the rows finish. The caller checks each row's arity.
+    pub(crate) fn walk_lockstep(&self, rows: &[&[f64]], mut leaf: impl FnMut(usize, f64)) {
+        // (row, node) of every row still walking.
+        let mut live: Vec<(usize, usize)> = (0..rows.len()).map(|k| (k, 0)).collect();
+        while !live.is_empty() {
+            let mut kept = 0;
+            for i in 0..live.len() {
+                let (k, at) = live[i];
+                let node = &self.nodes[at];
+                match node.next(at, rows[k]) {
+                    Some(next) => {
+                        live[kept] = (k, next);
+                        kept += 1;
+                    }
+                    None => leaf(k, node.threshold),
                 }
             }
+            live.truncate(kept);
         }
     }
 
@@ -86,11 +138,11 @@ impl RegressionTree {
     }
 
     fn depth_below(&self, at: usize) -> usize {
-        match &self.nodes[at] {
-            Node::Leaf { .. } => 0,
-            Node::Split { left, right, .. } => {
-                1 + self.depth_below(*left).max(self.depth_below(*right))
-            }
+        let node = &self.nodes[at];
+        if node.feature == LEAF {
+            0
+        } else {
+            1 + self.depth_below(at + 1).max(self.depth_below(node.right as usize))
         }
     }
 
@@ -115,15 +167,20 @@ impl RegressionTree {
                     && right_idx.len() >= params.min_samples_leaf
                 {
                     let at = self.nodes.len();
-                    self.nodes.push(Node::Leaf { value: mean }); // placeholder
+                    self.nodes.push(Node::leaf(mean)); // placeholder
                     let left = self.build(data, left_idx, params, depth + 1, rng);
+                    debug_assert_eq!(left, at + 1, "nodes are stored in pre-order");
                     let right = self.build(data, right_idx, params, depth + 1, rng);
-                    self.nodes[at] = Node::Split { feature, threshold, left, right };
+                    self.nodes[at] = Node {
+                        threshold,
+                        feature: u32::try_from(feature).expect("feature index fits in u32"),
+                        right: u32::try_from(right).expect("node index fits in u32"),
+                    };
                     return at;
                 }
             }
         }
-        self.nodes.push(Node::Leaf { value: mean });
+        self.nodes.push(Node::leaf(mean));
         self.nodes.len() - 1
     }
 
