@@ -370,8 +370,9 @@ impl Gateway {
     }
 
     /// Folds new completions into dispositions and the deadline-miss
-    /// counter. Reads the run's completion log, not its retained
-    /// outcomes, so a capped fleet still settles every request.
+    /// counter. Drains every completion from the run rather than reading
+    /// its retained outcomes, so a capped fleet still settles every
+    /// request.
     fn absorb_completions(&mut self) {
         for o in self.run.drain_completions() {
             let req = self.owner.remove(&o.job_idx).expect("every completion was submitted here");

@@ -790,9 +790,13 @@ pub struct FleetRun {
     /// Retained outcomes in completion order — the full run below the
     /// [`FleetConfig::retain_outcomes`] cap, a prefix above it.
     outcomes: Vec<JobOutcome>,
-    /// Outcomes not yet drained by the front-end, kept whatever the
-    /// retention cap; `Some` only for serving runs.
-    completion_log: Option<Vec<JobOutcome>>,
+    /// Completions the front-end has not drained yet, in completion
+    /// order and whatever the retention cap. Only serving runs fill it:
+    /// their front-end drains it after every step.
+    completions: Vec<JobOutcome>,
+    /// Whether a front-end drains [`FleetRun::drain_completions`]
+    /// ([`FleetRun::start_serving`] runs).
+    serving: bool,
     first_arrival_s: f64,
     /// Closed-loop bookkeeping: the index of the next unsubmitted job.
     next_closed_job: usize,
@@ -853,7 +857,8 @@ impl FleetRun {
             counters: FaultCounters::default(),
             running: 0,
             outcomes: Vec::with_capacity(retained),
-            completion_log: None,
+            completions: Vec::new(),
+            serving: false,
             first_arrival_s: f64::INFINITY,
             next_closed_job: 0,
             closed_think_s: 0.0,
@@ -1025,21 +1030,31 @@ impl FleetRun {
     /// [`FleetRun::submit_job`] and steps it with [`FleetRun::serve_step`],
     /// owning queueing and admission policy itself — this run's internal
     /// pending queue only ever holds jobs the front-end has already
-    /// decided to admit.
+    /// decided to admit. The front-end learns of completions through
+    /// [`FleetRun::drain_completions`], which it must call after every
+    /// step.
     pub fn start_serving(fleet: FleetEngine) -> Self {
         let mut run = Self::fresh(fleet, Vec::new());
-        run.completion_log = Some(Vec::new());
+        run.serving = true;
         run.arm_agent();
         run
+    }
+
+    /// A serving run for one shard of the sharded streaming driver, which
+    /// drains every completion and retains outcomes fleet-wide itself, so
+    /// the shard retains none.
+    pub(crate) fn start_shard(mut fleet: FleetEngine) -> Self {
+        fleet.config.retain_outcomes = 0;
+        Self::start_serving(fleet)
     }
 
     /// Takes the outcome of every job completed since the last call, in
     /// completion order — including those the
     /// [`FleetConfig::retain_outcomes`] cap keeps out of
-    /// [`FleetRun::outcomes`]. Only [`FleetRun::start_serving`] runs log
-    /// completions; any other run yields none.
-    pub fn drain_completions(&mut self) -> impl Iterator<Item = JobOutcome> + '_ {
-        self.completion_log.iter_mut().flat_map(|log| log.drain(..))
+    /// [`FleetRun::outcomes`]. Only [`FleetRun::start_serving`] runs hand
+    /// completions over; any other run yields none.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, JobOutcome> {
+        self.completions.drain(..)
     }
 
     /// Submits one job arriving *now* (an arrival timer at the current
@@ -1090,9 +1105,9 @@ impl FleetRun {
     }
 
     /// High-water mark of per-job state this run has held at once:
-    /// retained outcomes + queued arrivals + materialized profiles. The
-    /// memory proxy the scale benchmark tracks — O(trace) for the
-    /// materialized constructors, O(in-flight + retained) for
+    /// retained and undrained outcomes + queued arrivals + materialized
+    /// profiles. The memory proxy the scale benchmark tracks — O(trace)
+    /// for the materialized constructors, O(in-flight + retained) for
     /// [`FleetRun::start_stream`] under a retention cap.
     pub fn peak_tracked(&self) -> usize {
         self.peak_tracked
@@ -1100,8 +1115,11 @@ impl FleetRun {
 
     /// Records the high-water mark of per-job state held right now.
     fn note_tracked(&mut self) {
-        let tracked =
-            self.outcomes.len() + self.pending.len() + self.incoming.len() + self.jobs.len();
+        let tracked = self.outcomes.len()
+            + self.completions.len()
+            + self.pending.len()
+            + self.incoming.len()
+            + self.jobs.len();
         self.peak_tracked = self.peak_tracked.max(tracked);
     }
 
@@ -1435,13 +1453,6 @@ impl FleetRun {
         self.fleet.engine.apply_backbone_tiers(tiers);
     }
 
-    /// Hands the retained outcomes to the caller, leaving the run's
-    /// vector empty (the sharded streaming driver drains every shard at
-    /// each sync point so per-shard memory stays bounded by one window).
-    pub(crate) fn take_outcomes(&mut self) -> Vec<JobOutcome> {
-        std::mem::take(&mut self.outcomes)
-    }
-
     fn push_timer(&mut self, at_s: f64, kind: TimerKind) {
         self.timers.push(Timer { at_s, seq: self.seq, kind });
         self.seq += 1;
@@ -1543,17 +1554,22 @@ impl FleetRun {
     }
 
     /// Accounts one completion: the streaming totals always absorb it,
-    /// the outcome vector keeps it only below the retention cap.
+    /// the outcome vector keeps it only below the retention cap, and a
+    /// serving run hands it to its front-end either way.
     fn record_outcome(&mut self, outcome: JobOutcome) {
         self.completed += 1;
         self.totals.absorb(&outcome);
-        if let Some(log) = &mut self.completion_log {
-            log.push(outcome.clone());
+        let retain = self.outcomes.len() < self.fleet.config.retain_outcomes;
+        match (retain, self.serving) {
+            (true, true) => {
+                self.outcomes.push(outcome.clone());
+                self.completions.push(outcome);
+            }
+            (true, false) => self.outcomes.push(outcome),
+            (false, true) => self.completions.push(outcome),
+            (false, false) => return,
         }
-        if self.outcomes.len() < self.fleet.config.retain_outcomes {
-            self.outcomes.push(outcome);
-            self.note_tracked();
-        }
+        self.note_tracked();
     }
 
     /// One fleet-level agent wake: observe the engine's aggregate state,
@@ -2159,6 +2175,28 @@ mod tests {
             .with_serving(ServingCounters { offered: 1, ..ServingCounters::default() });
         assert_eq!(report.serving.offered, 1);
         assert_eq!(report.serving.shed_jobs, 0);
+    }
+
+    #[test]
+    fn serving_run_hands_over_completions_beyond_the_retention_cap() {
+        let engine = FleetEngine::new(
+            sim(3, 24),
+            Box::new(Tetrium::new()),
+            Box::new(Pregauged::new(BwMatrix::filled(3, 300.0))),
+            FleetConfig { retain_outcomes: 1, ..FleetConfig::default() },
+        );
+        let mut run = FleetRun::start_serving(engine);
+        let mut drained = Vec::new();
+        for i in 0..3 {
+            let _ = run.submit_job(small_job(3, 1.0, &format!("served-{i}")));
+            while !run.finished() {
+                run.serve_step(run.time_s() + 50.0).unwrap();
+                drained.extend(run.drain_completions().map(|o| o.job_idx));
+            }
+        }
+        assert_eq!(drained, [0, 1, 2], "every completion, in completion order");
+        assert_eq!(run.outcomes().len(), 1, "the cap still bounds retention");
+        assert_eq!(run.drain_completions().count(), 0, "drained completions are gone");
     }
 
     #[test]

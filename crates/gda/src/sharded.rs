@@ -462,11 +462,11 @@ impl ShardedFleetEngine {
     /// order into fleet-wide streaming totals, retaining at most
     /// `retain_outcomes` individual outcomes.
     ///
-    /// Shard engines should keep their default
-    /// [`retain_outcomes`](crate::FleetConfig::retain_outcomes) —
-    /// per-shard vectors are drained every window, so they never outgrow
-    /// one window's completions; a shard-level cap would silently drop
-    /// outcomes *before* the drain and corrupt the fleet totals.
+    /// Shard engines' own
+    /// [`retain_outcomes`](crate::FleetConfig::retain_outcomes) caps are
+    /// ignored: a shard retains no outcomes and hands every completion to
+    /// the driver each window, so per-shard state never outgrows one
+    /// window's completions.
     ///
     /// The merged report is exact ([`FleetReport::new`]) when every
     /// outcome fit under `retain_outcomes`, sketched
@@ -494,8 +494,7 @@ impl ShardedFleetEngine {
         let sync_s = self.sync_window_s();
         let topo = self.shards[0].sim().topology().clone();
         let policy_name = self.policy.name().to_string();
-        let mut runs: Vec<FleetRun> =
-            self.shards.into_iter().map(FleetRun::start_serving).collect();
+        let mut runs: Vec<FleetRun> = self.shards.into_iter().map(FleetRun::start_shard).collect();
 
         let mut stream = stream.peekable();
         let mut issued = 0usize;
@@ -572,7 +571,7 @@ impl ShardedFleetEngine {
             // fleet-wide totals.
             let mut drained: Vec<(usize, JobOutcome)> = Vec::new();
             for (s, run) in runs.iter_mut().enumerate() {
-                drained.extend(run.take_outcomes().into_iter().map(|o| (s, o)));
+                drained.extend(run.drain_completions().map(|o| (s, o)));
             }
             drained.sort_by(|(sa, a), (sb, b)| {
                 a.completed_s.total_cmp(&b.completed_s).then(sa.cmp(sb))

@@ -153,6 +153,23 @@ fn streamed_sharded_run_caps_outcomes_without_losing_totals() {
 }
 
 #[test]
+fn streamed_sharded_run_holds_no_undrained_completions() {
+    // Sparse arrivals spread the run over many 2 s sync windows; the
+    // driver drains every shard each window, so no shard keeps an
+    // outcome and the fleet never holds more than a few windows' worth.
+    let cfg = TraceConfig::new(N_DCS, 48, 6).scaled(0.5);
+    let times = poisson_arrival_times(48, 0.02, 21).unwrap();
+    let capped = hier_sharded(3, 3000.0, 6000.0)
+        .run_stream(48, Box::new(times.into_iter().zip(trace_iter(&cfg))), 4)
+        .unwrap();
+
+    assert_eq!(capped.fleet.completed(), 48);
+    assert_eq!(capped.fleet.outcomes.len(), 4);
+    assert!(capped.per_shard.iter().all(|r| r.outcomes.is_empty()), "shards retain nothing");
+    assert!(capped.peak_tracked <= 4 + 12, "peak {}", capped.peak_tracked);
+}
+
+#[test]
 fn streamed_sharded_run_is_thread_count_invariant() {
     let cfg = TraceConfig::new(N_DCS, 12, 2).scaled(0.5);
     let run_with = |threads: usize| {
